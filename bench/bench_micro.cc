@@ -34,13 +34,14 @@ simd::Level LevelForArg(int64_t arg) {
   return arg == 0 ? simd::Level::kScalar : simd::DetectedLevel();
 }
 
-std::vector<std::string> RandomWords(size_t count, uint64_t seed) {
+std::vector<std::string> RandomWords(size_t count, uint64_t seed,
+                                     size_t max_len = 11) {
   Rng rng(seed);
   std::vector<std::string> words;
   words.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     std::string w;
-    size_t len = 4 + rng.Uniform(8);
+    size_t len = 4 + rng.Uniform(max_len - 3);
     for (size_t j = 0; j < len; ++j) {
       w.push_back(static_cast<char>('a' + rng.Uniform(12)));
     }
@@ -156,21 +157,27 @@ BENCHMARK(BM_FastSsBuild)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
-void BM_FastSsFind(benchmark::State& state) {
+void RunFastSsFind(benchmark::State& state, const FastSsIndex& index,
+                   const std::vector<std::string>& queries) {
   const uint32_t ed = static_cast<uint32_t>(state.range(0));
   simd::ScopedLevel scoped(LevelForArg(state.range(1)));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.Find(queries[i % queries.size()], ed));
+    ++i;
+  }
+  state.SetLabel(simd::LevelName(simd::ActiveLevel()));
+}
+
+void BM_FastSsFind(benchmark::State& state) {
+  // Words of 4-11 characters: none reaches the partition threshold, so
+  // only whole-word probes run.
   static FastSsIndex* index = [] {
     auto* idx = new FastSsIndex(FastSsIndex::Options{3, 13});
     idx->Build(RandomWords(20000, 4));
     return idx;
   }();
-  std::vector<std::string> queries = RandomWords(64, 5);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index->Find(queries[i % queries.size()], ed));
-    ++i;
-  }
-  state.SetLabel(simd::LevelName(simd::ActiveLevel()));
+  RunFastSsFind(state, *index, RandomWords(64, 5));
 }
 BENCHMARK(BM_FastSsFind)
     ->ArgNames({"ed", "simd"})
@@ -180,6 +187,19 @@ BENCHMARK(BM_FastSsFind)
     ->Args({2, 1})
     ->Args({3, 0})
     ->Args({3, 1});
+
+void BM_FastSsFindPartitioned(benchmark::State& state) {
+  // Words and queries of 4-18 characters: the vocabulary holds partitioned
+  // words, so queries on either side of the length gates take the split
+  // probes, the whole-word probes or both.
+  static FastSsIndex* index = [] {
+    auto* idx = new FastSsIndex(FastSsIndex::Options{3, 13});
+    idx->Build(RandomWords(20000, 4, 18));
+    return idx;
+  }();
+  RunFastSsFind(state, *index, RandomWords(64, 5, 18));
+}
+BENCHMARK(BM_FastSsFindPartitioned)->ArgNames({"ed", "simd"})->Args({3, 1});
 
 void BM_PostingSkipTo(benchmark::State& state) {
   simd::ScopedLevel scoped(LevelForArg(state.range(0)));

@@ -79,26 +79,6 @@ size_t CountKeysBelowStride8Scalar(const unsigned char* base, size_t size,
   return i;
 }
 
-uint64_t Key64At(const unsigned char* base, size_t i) {
-  uint64_t key;
-  std::memcpy(&key, base + i * 16, sizeof(key));
-  return key;
-}
-
-size_t LowerBoundKey64Stride16Scalar(const unsigned char* base, size_t size,
-                                     uint64_t needle) {
-  size_t lo = 0, hi = size;
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (Key64At(base, mid) < needle) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 void Fnv1aBatch4Interleaved(uint64_t seed, const std::string_view in[4],
                             uint64_t out[4]) {
   // Four scalar chains advanced in lockstep: the compiler interleaves the
@@ -243,43 +223,6 @@ __attribute__((target("avx2"))) size_t CountKeysBelowStride8Avx2(
   return i + CountKeysBelowStride8Scalar(base + i * 8, size - i, target);
 }
 
-__attribute__((target("avx2"))) size_t LowerBoundKey64Stride16Avx2(
-    const unsigned char* base, size_t size, uint64_t needle) {
-  // Binary-narrow to one vector window, then gather-compare 4 keys per
-  // step (stride 16 bytes = scale-8 indices 0,2,4,6) and count the
-  // below-needle prefix. Unsigned 64-bit compare via the sign-bit flip.
-  size_t lo = 0, hi = size;
-  while (hi - lo > 16) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (Key64At(base, mid) < needle) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ull));
-  const __m256i ndl = _mm256_xor_si256(
-      _mm256_set1_epi64x(static_cast<long long>(needle)), bias);
-  const __m256i idx = _mm256_setr_epi64x(0, 2, 4, 6);
-  while (lo + 4 <= hi) {
-    const long long* lanes =
-        reinterpret_cast<const long long*>(base + lo * 16);
-    const __m256i keys =
-        _mm256_xor_si256(_mm256_i64gather_epi64(lanes, idx, 8), bias);
-    const int mask =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(ndl, keys)));
-    if (mask != 0xF) {
-      unsigned run = 0;
-      while (mask & (1 << run)) ++run;
-      return lo + run;
-    }
-    lo += 4;
-  }
-  while (lo < hi && Key64At(base, lo) < needle) ++lo;
-  return lo;
-}
-
 #endif  // XCLEAN_SIMD_X86
 
 // --- aarch64 (NEON) tier --------------------------------------------------
@@ -412,18 +355,6 @@ size_t CountKeysBelowStride8(Level level, const void* base, size_t size,
   (void)level;
 #endif
   return CountKeysBelowStride8Scalar(bytes, size, target);
-}
-
-size_t LowerBoundKey64Stride16(Level level, const void* base, size_t size,
-                               uint64_t needle) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(base);
-#if defined(XCLEAN_SIMD_X86)
-  if (level == Level::kAvx2) {
-    return LowerBoundKey64Stride16Avx2(bytes, size, needle);
-  }
-#endif
-  (void)level;
-  return LowerBoundKey64Stride16Scalar(bytes, size, needle);
 }
 
 void Fnv1aBatch4(Level level, uint64_t seed, const std::string_view in[4],

@@ -80,15 +80,6 @@ const char* DecodeVarint32Group(Level level, const char* p, const char* end,
 size_t CountKeysBelowStride8(Level level, const void* base, size_t size,
                              uint32_t target);
 
-/// Lower-bound position of `needle` in a sorted 16-byte-stride array whose
-/// leading field is a uint64 key: the number of records with key < needle.
-/// Layout matches FastSsIndex::Posting {uint64 hash, uint32 word_id}. The
-/// scalar tier binary searches; the AVX2 tier binary-narrows to one window
-/// and finishes it gather-comparing 4 keys per step. Both return the same
-/// (unique) position.
-size_t LowerBoundKey64Stride16(Level level, const void* base, size_t size,
-                               uint64_t needle);
-
 /// Four independent FNV-1a chains advanced in lockstep, all starting from
 /// `seed`: out[i] is bit-identical to folding in[i]'s bytes one at a time
 /// with the scalar hash. Lanes may have different lengths. Every tier runs

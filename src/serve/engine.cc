@@ -87,8 +87,14 @@ std::shared_ptr<const ServingEngine::Snapshot> ServingEngine::MakeSnapshot(
     std::shared_ptr<delta::LiveIndex> live) {
   auto snap = std::make_shared<Snapshot>();
   snap->version = version;
-  snap->key_prefix = "v" + std::to_string(version) + "|" +
-                     OptionsFingerprint(suggester->options()) + "|";
+  // Appended piece by piece: GCC 12 flags the chained "literal" + string
+  // temporaries with a false -Wrestrict.
+  std::string prefix = "v";
+  prefix += std::to_string(version);
+  prefix += '|';
+  prefix += OptionsFingerprint(suggester->options());
+  prefix += '|';
+  snap->key_prefix = std::move(prefix);
   snap->suggester = std::move(suggester);
   snap->live = std::move(live);
   return snap;
@@ -241,6 +247,11 @@ ServeResult ServingEngine::ExecuteOnSnapshot(
     metrics_.IncrShedOverload();
     result.status = Status::Unavailable("overloaded: shedding all requests");
     result.latency_ms = MillisSince(enqueue_time);
+    // Refused requests feed the p95 estimate too. Once the ladder refuses
+    // every miss, no request completes; without these samples the
+    // estimate would stay where it escalated and the ladder could never
+    // step down.
+    overload_.RecordLatency(result.latency_ms);
     return result;
   }
 
@@ -270,7 +281,9 @@ ServeResult ServingEngine::ExecuteOnSnapshot(
   // answer for free), never the other way around.
   std::string full_key = snap->key_prefix;
   if (live_snap != nullptr) {
-    full_key += "q" + std::to_string(live_snap->sequence()) + "|";
+    full_key += 'q';
+    full_key += std::to_string(live_snap->sequence());
+    full_key += '|';
   }
   full_key += query.ToString();
   const std::string reduced_key = "t1|" + full_key;
@@ -286,6 +299,7 @@ ServeResult ServingEngine::ExecuteOnSnapshot(
     metrics_.IncrShedOverload();
     result.status = Status::Unavailable("overloaded: serving cache hits only");
     result.latency_ms = MillisSince(enqueue_time);
+    overload_.RecordLatency(result.latency_ms);
     return result;
   } else {
     QueryBudget budget;

@@ -51,8 +51,8 @@ void EnumerateDeletions(const std::string& current, uint32_t remaining,
 /// variants: FNV-1a is prefix-incremental, so a keep/delete branch per
 /// character folds each surviving byte into the running hash. Appends the
 /// hash of every variant with at most `remaining` deletions (each variant
-/// exactly once; repeated characters yield duplicate hashes, deduped by
-/// the caller — equivalent to string dedup because probes are by hash).
+/// exactly once; repeated characters yield duplicate hashes, which cost
+/// the caller only a repeated probe).
 void EnumerateDeletionHashes(std::string_view s, size_t pos,
                              uint32_t remaining, uint64_t hash,
                              std::vector<uint64_t>& out) {
@@ -66,6 +66,39 @@ void EnumerateDeletionHashes(std::string_view s, size_t pos,
   if (remaining > 0) {
     EnumerateDeletionHashes(s, pos + 1, remaining - 1, hash, out);
   }
+}
+
+/// One probe's hash bucket: the half-open posting range [begin, end) and
+/// the position in it where the probe's search starts.
+struct BucketRange {
+  uint32_t begin;
+  uint32_t end;
+  uint32_t guess;
+};
+
+/// Per-thread working set of FastSsIndex::Find, reused across calls so a
+/// lookup allocates nothing but its result once the buffers have grown.
+struct FindScratch {
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> candidates;
+  /// Bit w set: word w is already a candidate of the running call. Each
+  /// call clears the bits it set, so the set is empty between calls and
+  /// one scratch serves every index the thread queries (it grows to the
+  /// largest vocabulary).
+  std::vector<uint64_t> seen;
+};
+
+FindScratch& ThreadFindScratch() {
+  static thread_local FindScratch scratch;
+  return scratch;
+}
+
+inline void Prefetch(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
 }
 
 }  // namespace
@@ -225,82 +258,116 @@ uint64_t FastSsIndex::ApproxMemoryBytes() const {
   return bytes;
 }
 
-void FastSsIndex::ProbeHash(uint64_t hash,
-                            std::vector<uint32_t>& candidates) const {
-  static_assert(sizeof(Posting) == 16,
-                "Posting must be a 16-byte (hash, word_id) record");
-  const size_t bucket = hash >> (64 - kBucketBits);
-  const Posting* begin = postings_.data() + bucket_start_[bucket];
-  const Posting* end = postings_.data() + bucket_start_[bucket + 1];
-  const size_t size = static_cast<size_t>(end - begin);
-  const simd::Level level = simd::ActiveLevel();
-  const Posting* it;
-  // Buckets are short (postings spread over 2^16 buckets), so the vector
-  // lower bound usually finishes in its final window scan; degenerate
-  // buckets stay logarithmic via the kernel's internal binary narrowing.
-  // Both paths land on the identical lower-bound position.
-  if (level != simd::Level::kScalar) {
-    it = begin + simd::LowerBoundKey64Stride16(level, begin, size, hash);
-  } else {
-    it = std::lower_bound(
-        begin, end, hash,
-        [](const Posting& p, uint64_t h) { return p.hash < h; });
-  }
-  for (; it != end && it->hash == hash; ++it) {
-    candidates.push_back(it->word_id);
-  }
-}
-
-void FastSsIndex::ProbeNeighborhood(Tag tag, std::string_view piece,
-                                    uint32_t max_deletions,
-                                    std::vector<uint32_t>& candidates) const {
-  // Hash-identical to hashing each materialized deletion variant with
-  // HashVariant, minus the per-variant string and set-node allocations.
-  std::vector<uint64_t> hashes;
-  const uint64_t seed =
-      (14695981039346656037ULL ^ static_cast<uint8_t>(tag)) *
-      1099511628211ULL;
-  EnumerateDeletionHashes(piece, 0, max_deletions, seed, hashes);
-  std::sort(hashes.begin(), hashes.end());
-  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
-  for (uint64_t hash : hashes) {
-    ProbeHash(hash, candidates);
-  }
-}
-
 std::vector<FastSsIndex::Match> FastSsIndex::Find(std::string_view query,
                                                   uint32_t max_ed) const {
   XCLEAN_CHECK(built_);
   XCLEAN_CHECK(max_ed <= options_.max_ed);
+  FindScratch& scratch = ThreadFindScratch();
 
-  std::vector<uint32_t> candidates;
-  // Whole-word probes cover words indexed unpartitioned.
-  ProbeNeighborhood(Tag::kWhole, query, max_ed, candidates);
+  // Length gates. A match needs |len(q) - len(w)| <= ed(q, w) <= max_ed,
+  // and Build stores a word of at least partition_min_length characters
+  // only in split form (when the index radius is nonzero). Whole-word
+  // probes can therefore only reach words shorter than the threshold, and
+  // split probes only words at least that long.
+  const size_t partition = options_.partition_min_length;
+  const bool probe_whole =
+      options_.max_ed == 0 || query.size() < partition + max_ed;
+  const bool probe_split =
+      has_partitioned_ && query.size() + max_ed >= partition;
 
-  if (has_partitioned_ && max_ed > 0) {
-    // Split probes cover partitioned words: for the split induced by the
-    // optimal alignment, one half pair has edit distance <= floor(max_ed/2)
-    // (pigeonhole over the two halves). We try every plausible split point
-    // of the query around its middle.
+  // Every probe hash of the query, in one batch. Whole-word probes use the
+  // max_ed-deletion neighborhood of the query. Split probes cover
+  // partitioned words: for the split induced by the optimal alignment, one
+  // half pair has edit distance <= floor(max_ed/2) (pigeonhole over the
+  // two halves), so every plausible split point of the query around its
+  // middle probes its halves' neighborhoods at the index's half radius.
+  std::vector<uint64_t>& hashes = scratch.hashes;
+  hashes.clear();
+  if (probe_whole) {
+    EnumerateDeletionHashes(query, 0, max_ed,
+                            TagSeed(static_cast<uint8_t>(Tag::kWhole)),
+                            hashes);
+  }
+  if (probe_split) {
     const uint32_t half_k = options_.max_ed / 2;
-    size_t mid = (query.size() + 1) / 2;
-    size_t lo = mid > max_ed + 1 ? mid - max_ed - 1 : 0;
-    size_t hi = std::min(query.size(), mid + max_ed + 1);
+    const uint64_t left_seed = TagSeed(static_cast<uint8_t>(Tag::kLeft));
+    const uint64_t right_seed = TagSeed(static_cast<uint8_t>(Tag::kRight));
+    const size_t mid = (query.size() + 1) / 2;
+    const size_t lo = mid > max_ed + 1 ? mid - max_ed - 1 : 0;
+    const size_t hi = std::min(query.size(), mid + max_ed + 1);
     for (size_t g = lo; g <= hi; ++g) {
-      ProbeNeighborhood(Tag::kLeft, query.substr(0, g), half_k, candidates);
-      ProbeNeighborhood(Tag::kRight, query.substr(g), half_k, candidates);
+      EnumerateDeletionHashes(query.substr(0, g), 0, half_k, left_seed,
+                              hashes);
+      EnumerateDeletionHashes(query.substr(g), 0, half_k, right_seed,
+                              hashes);
     }
   }
+  // Repeated characters and neighbouring split points yield some hashes
+  // more than once. They are probed again rather than sorted away: a
+  // repeated probe finds its postings already in cache, which costs less
+  // than sorting the batch, and the candidate set below drops the words
+  // it finds a second time.
 
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  // Where a probe's search starts. Hashes are uniform, so the bits below
+  // the bucket bits give the hash's rank within its bucket (a skewed
+  // bucket only makes the walk in pass 2 longer).
+  auto locate = [this](uint64_t hash) {
+    const size_t bucket = hash >> (64 - kBucketBits);
+    const uint32_t begin = bucket_start_[bucket];
+    const uint32_t end = bucket_start_[bucket + 1];
+    const uint64_t rank = (hash >> (64 - 2 * kBucketBits)) &
+                          ((uint64_t{1} << kBucketBits) - 1);
+    return BucketRange{
+        begin, end,
+        begin + static_cast<uint32_t>(((end - begin) * rank) >> kBucketBits)};
+  };
+
+  // Pass 1: prefetch the posting each probe's search starts at, so the
+  // probes' cache misses overlap instead of being taken one at a time in
+  // pass 2 (which finds the bucket directory entries in cache).
+  for (uint64_t hash : hashes) Prefetch(postings_.data() + locate(hash).guess);
+
+  // Pass 2: walk from the guess to the hash's lower bound in its bucket
+  // (a few postings) and collect the word ids of its postings, each word
+  // once. Each new candidate's word is prefetched for the verification.
+  std::vector<uint64_t>& seen = scratch.seen;
+  if (seen.size() * 64 < words_.size()) seen.resize((words_.size() + 63) / 64);
+  std::vector<uint32_t>& candidates = scratch.candidates;
+  candidates.clear();
+  for (uint64_t hash : hashes) {
+    const BucketRange range = locate(hash);
+    const Posting* begin = postings_.data() + range.begin;
+    const Posting* end = postings_.data() + range.end;
+    const Posting* it = postings_.data() + range.guess;
+    if (it != end && it->hash < hash) {
+      do {
+        ++it;
+      } while (it != end && it->hash < hash);
+    } else {
+      while (it != begin && (it - 1)->hash >= hash) --it;
+    }
+    for (; it != end && it->hash == hash; ++it) {
+      const uint32_t id = it->word_id;
+      const uint64_t bit = uint64_t{1} << (id % 64);
+      if ((seen[id / 64] & bit) == 0) {
+        seen[id / 64] |= bit;
+        candidates.push_back(id);
+        Prefetch(&words_[id]);
+      }
+    }
+  }
 
   std::vector<Match> matches;
   for (uint32_t id : candidates) {
     uint32_t d = EditDistanceBounded(query, words_[id], max_ed);
     if (d <= max_ed) matches.push_back(Match{id, d});
   }
+  // Only candidates' bits are set, so zeroing their words empties the set.
+  for (uint32_t id : candidates) seen[id / 64] = 0;
+  std::sort(matches.begin(), matches.end(),
+            [](const Match& a, const Match& b) {
+              return a.word_id < b.word_id;
+            });
   return matches;
 }
 

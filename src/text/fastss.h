@@ -28,8 +28,12 @@ class ThreadPool;
 ///
 /// Implementation notes (database-engine idioms):
 ///  - neighborhood variants are stored as 64-bit hashes in one sorted flat
-///    array of (hash, word_id) pairs: ~12 bytes per posting, binary-searched
-///    at query time; hash collisions only cost a wasted verification,
+///    array of (hash, word_id) pairs (16-byte records); hash collisions
+///    only cost a wasted verification,
+///  - a lookup first prefetches the posting where each of its probes'
+///    searches starts (a bucket directory over the top hash bits, then the
+///    next bits as the rank within the bucket) and only then scans, so
+///    the probes' cache misses overlap,
 ///  - the index is built once and frozen (Build), matching the offline
 ///    index construction in the paper.
 class FastSsIndex {
@@ -60,8 +64,11 @@ class FastSsIndex {
   /// form — is byte-identical for every thread count.
   void Build(const std::vector<std::string>& words, ThreadPool* pool);
 
-  /// All indexed words within edit distance max_ed of `query`, unordered.
-  /// Requires max_ed <= options().max_ed and Build() to have run.
+  /// All indexed words within edit distance max_ed of `query`, in
+  /// ascending word id order. Requires max_ed <= options().max_ed and
+  /// Build() to have run. Probes only the layouts the query's length can
+  /// reach, as one deduplicated batch of hashes; apart from the result it
+  /// allocates nothing once its per-thread buffers have grown.
   std::vector<Match> Find(std::string_view query, uint32_t max_ed) const;
 
   const std::string& word(uint32_t id) const { return words_[id]; }
@@ -98,10 +105,6 @@ class FastSsIndex {
   /// Emits the (possibly partitioned) neighborhood of one word into `out`;
   /// returns true when the word used the partitioned layout.
   bool EmitWord(uint32_t word_id, std::vector<Posting>& out) const;
-  void ProbeNeighborhood(Tag tag, std::string_view piece,
-                         uint32_t max_deletions,
-                         std::vector<uint32_t>& candidates) const;
-  void ProbeHash(uint64_t hash, std::vector<uint32_t>& candidates) const;
 
   /// Bucket directory over the top kBucketBits hash bits: probes binary-
   /// search one bucket instead of the whole posting array. Rebuilt (not

@@ -23,8 +23,8 @@ void WriteNode(const XmlTree& tree, NodeId node, const WriteOptions& options,
   out.push_back('<');
   // "@name" nodes rendered as elements get a parse-safe label.
   bool is_attr_node = !label.empty() && label[0] == '@';
-  std::string element_label =
-      is_attr_node ? "_" + label.substr(1) : label;
+  std::string element_label = label;
+  if (is_attr_node) element_label[0] = '_';
   out += element_label;
 
   // Collect leading attribute children if they are to be inlined.

@@ -27,8 +27,13 @@ std::vector<std::string> BruteForce(const std::vector<std::string>& words,
 std::vector<std::string> IndexFind(const FastSsIndex& index,
                                    const std::string& query,
                                    uint32_t max_ed) {
+  const std::vector<FastSsIndex::Match> matches = index.Find(query, max_ed);
+  // Find returns each word once, in ascending word id order.
+  for (size_t i = 1; i < matches.size(); ++i) {
+    EXPECT_LT(matches[i - 1].word_id, matches[i].word_id) << query;
+  }
   std::vector<std::string> out;
-  for (const FastSsIndex::Match& m : index.Find(query, max_ed)) {
+  for (const FastSsIndex::Match& m : matches) {
     out.push_back(index.word(m.word_id));
   }
   std::sort(out.begin(), out.end());
@@ -82,41 +87,85 @@ TEST(FastSsTest, EmptyIndex) {
 }
 
 /// Property: Find == brute force, across index radii and partition
-/// thresholds (small thresholds force the partitioned code path).
+/// thresholds (small thresholds force the partitioned code path), at every
+/// call radius up to the index's.
 struct FastSsParam {
   uint32_t max_ed;
   size_t partition_min_length;
+  /// Longest vocabulary word. Below partition_min_length the index holds
+  /// no partitioned word at all.
+  size_t max_word_length = 18;
 };
 
 class FastSsPropertyTest : public ::testing::TestWithParam<FastSsParam> {};
 
 TEST_P(FastSsPropertyTest, MatchesBruteForce) {
   const FastSsParam param = GetParam();
-  Rng rng(500 + param.max_ed * 10 + param.partition_min_length);
+  Rng rng(500 + param.max_ed * 10 + param.partition_min_length +
+          param.max_word_length * 1000);
 
+  auto random_char = [&] { return static_cast<char>('a' + rng.Uniform(5)); };
   auto random_word = [&](size_t min_len, size_t max_len) {
     std::string s;
     size_t len = min_len + rng.Uniform(max_len - min_len + 1);
-    for (size_t i = 0; i < len; ++i) {
-      s.push_back(static_cast<char>('a' + rng.Uniform(5)));
-    }
+    for (size_t i = 0; i < len; ++i) s.push_back(random_char());
     return s;
   };
 
   std::set<std::string> vocab_set;
-  while (vocab_set.size() < 300) vocab_set.insert(random_word(3, 18));
+  while (vocab_set.size() < 300) {
+    vocab_set.insert(random_word(3, param.max_word_length));
+  }
   std::vector<std::string> vocab(vocab_set.begin(), vocab_set.end());
 
   FastSsIndex index(
       FastSsIndex::Options{param.max_ed, param.partition_min_length});
   index.Build(vocab);
 
-  for (int q = 0; q < 100; ++q) {
-    std::string query = random_word(2, 20);
+  std::vector<std::string> queries;
+  for (int q = 0; q < 100; ++q) queries.push_back(random_word(2, 20));
+
+  // Find probes whole words only for queries shorter than
+  // partition_min_length + max_ed and split halves only for queries of at
+  // least partition_min_length - max_ed characters. Cover every query
+  // length from one below the lower gate to the upper one, with random
+  // queries and with vocabulary words edited up to the index radius (those
+  // have matches across the gates, including exact ones). Lengths no
+  // vocabulary word can reach are left out.
+  const size_t k = param.max_ed;
+  const size_t p = param.partition_min_length;
+  const size_t min_len = p > k + 1 ? p - k - 1 : 1;
+  const size_t max_len = std::min(p + k, param.max_word_length + k + 1);
+  for (size_t len = min_len; len <= max_len; ++len) {
+    for (int q = 0; q < 8; ++q) queries.push_back(random_word(len, len));
+    int derived = 0;
+    for (const std::string& w : vocab) {
+      if (derived == 8) break;
+      if (w.size() + k < len || w.size() > len + k) continue;
+      std::string query = w;
+      const size_t edits = rng.Uniform(k + 1);
+      for (size_t e = 0; e < edits; ++e) {
+        const size_t pos = rng.Uniform(query.size() + 1);
+        if (query.size() < len) {
+          query.insert(query.begin() + pos, random_char());
+        } else if (query.size() > len) {
+          query.erase(query.begin() + std::min(pos, query.size() - 1));
+        } else if (pos < query.size()) {
+          query[pos] = random_char();
+        }
+      }
+      if (query.size() != len) continue;
+      queries.push_back(query);
+      ++derived;
+    }
+  }
+
+  for (const std::string& query : queries) {
     for (uint32_t ed = 0; ed <= param.max_ed; ++ed) {
       EXPECT_EQ(IndexFind(index, query, ed), BruteForce(vocab, query, ed))
           << "query=" << query << " ed=" << ed
-          << " k=" << param.max_ed << " part=" << param.partition_min_length;
+          << " k=" << param.max_ed << " part=" << param.partition_min_length
+          << " longest=" << param.max_word_length;
     }
   }
 }
@@ -125,7 +174,10 @@ INSTANTIATE_TEST_SUITE_P(
     RadiiAndPartitions, FastSsPropertyTest,
     ::testing::Values(FastSsParam{1, 13}, FastSsParam{2, 13},
                       FastSsParam{2, 6}, FastSsParam{3, 9},
-                      FastSsParam{3, 100}));
+                      FastSsParam{3, 13}, FastSsParam{3, 100},
+                      // No partitioned words: every word is shorter than
+                      // the threshold, queries still cross both gates.
+                      FastSsParam{3, 13, 12}, FastSsParam{2, 9, 8}));
 
 TEST(FastSsTest, PartitionedUsesFewerPostingsForLongWords) {
   std::vector<std::string> long_words;

@@ -333,7 +333,9 @@ TEST(SuggestFuzzTest, RandomBudgetsKeepInvariants) {
       for (size_t i = 0; i < budgeted.size(); ++i) {
         ASSERT_GT(budgeted[i].entity_count, 0u);
         ASSERT_EQ(budgeted[i].words.size(), query.size());
-        if (i > 0) ASSERT_LE(budgeted[i].score, budgeted[i - 1].score);
+        if (i > 0) {
+          ASSERT_LE(budgeted[i].score, budgeted[i - 1].score);
+        }
       }
       if (!stats.truncated) {
         ASSERT_EQ(stats.cancel_cause, CancelCause::kNone);
@@ -437,10 +439,14 @@ TEST(RpcWireFuzzTest, RandomPayloadsNeverCrash) {
     }
     shard::ShardRequest request;
     const Status rs = rpc::DecodeShardRequest(payload, now, &request);
-    if (!rs.ok()) ASSERT_EQ(rs.code(), StatusCode::kDataLoss);
+    if (!rs.ok()) {
+      ASSERT_EQ(rs.code(), StatusCode::kDataLoss);
+    }
     shard::ShardResponse response;
     const Status ps = rpc::DecodeShardResponse(payload, &response);
-    if (!ps.ok()) ASSERT_EQ(ps.code(), StatusCode::kDataLoss);
+    if (!ps.ok()) {
+      ASSERT_EQ(ps.code(), StatusCode::kDataLoss);
+    }
   }
 }
 

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
+#include "common/fault_injection.h"
 #include "core/suggester.h"
 #include "data/dblp_gen.h"
 #include "serve/engine.h"
@@ -175,6 +177,53 @@ TEST(OverloadServingTest, SwapIndexResetsTheLatencySignal) {
   engine.SwapIndex(suggester);
   EXPECT_EQ(engine.Metrics().overload_p95_ms, 0.0);
   EXPECT_EQ(engine.Metrics().snapshot_swaps, 1u);
+}
+
+TEST(OverloadServingTest, LatencyEscalatedLadderStepsDownWhileShedding) {
+  if (!fault::Enabled()) GTEST_SKIP() << "fault injection compiled out";
+  ManualClock clock;
+  serve::EngineOptions options;
+  options.pool.num_threads = 1;
+  options.overload.deadline_ms = 100.0;
+  // One sample above the estimate moves it all the way: a single slow
+  // request escalates the ladder.
+  options.overload.ewma_alpha = 1.0;
+  options.overload.clock = &clock;
+  serve::ServingEngine engine(BuildSuggester(), options);
+
+  fault::ArmDelay("serve.cache.lookup", std::chrono::milliseconds(100), 1);
+  serve::ServeResult slow = engine.Suggest("information retrieval");
+  fault::DisarmAll();
+  ASSERT_TRUE(slow.status.ok()) << slow.status.ToString();
+  ASSERT_GE(engine.Metrics().overload_p95_ms,
+            options.overload.cache_only_latency * options.overload.deadline_ms);
+
+  // Cache-only with a cold cache for these queries: every request is a
+  // miss and is refused. Regression: refused requests never reached the
+  // p95 estimator, so it stayed above the cache-only threshold and the
+  // ladder never stepped down.
+  const std::string miss = "informaton retreival";
+  for (int i = 0; i < 40; ++i) {
+    serve::ServeResult r = engine.Suggest(miss);
+    ASSERT_EQ(r.tier, ServiceTier::kCacheOnly) << "request " << i;
+    ASSERT_EQ(r.status.code(), StatusCode::kUnavailable);
+  }
+  EXPECT_LT(engine.Metrics().overload_p95_ms,
+            options.overload.reduce_latency * options.overload.deadline_ms);
+
+  const auto hold =
+      std::chrono::milliseconds(options.overload.step_down_hold_ms + 1);
+  clock.Advance(hold);
+  serve::ServeResult reduced = engine.Suggest(miss);
+  EXPECT_EQ(reduced.tier, ServiceTier::kReduced);
+  EXPECT_TRUE(reduced.status.ok()) << reduced.status.ToString();
+  EXPECT_FALSE(reduced.cache_hit);
+
+  clock.Advance(hold);
+  serve::ServeResult full = engine.Suggest(miss);
+  EXPECT_EQ(full.tier, ServiceTier::kFull);
+  EXPECT_TRUE(full.status.ok()) << full.status.ToString();
+  EXPECT_FALSE(full.cache_hit);
 }
 
 TEST(OverloadServingTest, ShedTierAnswersUnavailable) {

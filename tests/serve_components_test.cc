@@ -127,7 +127,8 @@ TEST(SuggestionCacheTest, ConcurrentMixedWorkloadIsConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        std::string key = "k" + std::to_string((t * 31 + i) % 200);
+        std::string key = "k";
+        key += std::to_string((t * 31 + i) % 200);
         std::vector<Suggestion> out;
         if (!cache.Get(key, &out)) {
           cache.Put(key, OneSuggestion(key, 1.0));

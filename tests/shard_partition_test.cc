@@ -49,7 +49,9 @@ TEST(ShardPartitionTest, RangesTileDocumentSpace) {
     EXPECT_EQ(ranges.back().doc_end, num_docs);
     for (size_t s = 0; s < num_shards; ++s) {
       EXPECT_LE(ranges[s].doc_begin, ranges[s].doc_end);
-      if (s > 0) EXPECT_EQ(ranges[s].doc_begin, ranges[s - 1].doc_end);
+      if (s > 0) {
+        EXPECT_EQ(ranges[s].doc_begin, ranges[s - 1].doc_end);
+      }
     }
     for (uint32_t doc = 0; doc < num_docs; ++doc) {
       size_t owners = 0;
